@@ -5,7 +5,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test ci bench fuzz chaos coverage trace-check examples artifacts clean \
 	campaign-smoke baseline campaign-perf campaign-mega proxy-smoke crash-chaos fsck-smoke \
-	fleet-smoke
+	fleet-smoke perf-test
 
 install:
 	$(PYTHON) setup.py develop
@@ -135,6 +135,11 @@ fleet-smoke:
 	echo "OK: 20k-device summary byte-identical across runs"; \
 	REPRO_FLEET_BENCH_DEVICES=50000 \
 		$(PYTHON) benchmarks/bench_fleet_population.py
+
+# The perf benchmark's own tests (benchmarks/perf/): every workload at
+# a tiny size with its correctness gates, plus the CLI contract.
+perf-test:
+	$(PYTHON) -m pytest benchmarks/perf -q
 
 # Refresh the pinned smoke baseline after an intentional model change.
 baseline:

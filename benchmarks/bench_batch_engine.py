@@ -6,8 +6,7 @@ fast path only exists because it is dramatically faster, so a regression
 that quietly drops it to ~1x should fail loudly, not just look slow.
 
 The scalar side is timed on a systematic sample of the grid (every
-cell of a 100k grid through 200-iteration bisections would take tens of
-minutes) and extrapolated per-cell; the batch side runs the *entire*
+cell of a 100k grid through fixed-point bisections would take minutes) and extrapolated per-cell; the batch side runs the *entire*
 grid for real.  A byte-equality spot check re-runs a spread of cells
 through the scalar executor and requires the batch metrics to match
 exactly — the same contract the differential-oracle suite pins.

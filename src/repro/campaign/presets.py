@@ -102,10 +102,10 @@ def eq6_spec() -> CampaignSpec:
 def eq6_dense_spec() -> CampaignSpec:
     """A dense Eq-6 threshold plane: the parallel-speedup workhorse.
 
-    Every cell is a 200-iteration bisection over full model
-    evaluations, so the grid is compute-bound and embarrassingly
-    parallel — the ``make campaign-perf`` target replays it at ``-j 1``
-    and ``-j N`` and reports the measured speedup.
+    Every cell is a bisection over full model evaluations (run to its
+    float fixed point, ~60-72 passes), so the grid is compute-bound and
+    embarrassingly parallel — the ``make campaign-perf`` target replays
+    it at ``-j 1`` and ``-j N`` and reports the measured speedup.
     """
     return CampaignSpec(
         name="eq6-dense",

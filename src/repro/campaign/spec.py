@@ -27,6 +27,7 @@ import itertools
 import json
 import pathlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import ReproError
@@ -78,9 +79,13 @@ class Cell:
         """The executor dispatch key."""
         return self.params.get("kind", "simulate")
 
-    @property
+    @cached_property
     def cell_hash(self) -> str:
-        """Content hash of the parameters (code-independent)."""
+        """Content hash of the parameters (code-independent).
+
+        Computed once per cell (:meth:`CampaignSpec.expand` fills it in);
+        ``params`` is never mutated after expansion.
+        """
         return content_hash(self.params)
 
 
@@ -160,14 +165,14 @@ class CampaignSpec:
                 )
             seen[cell_id] = index
             cell_hash = content_hash(params)
-            out.append(
-                Cell(
-                    index=index,
-                    cell_id=cell_id,
-                    params=params,
-                    seed=derive_seed(self.seed, cell_hash),
-                )
+            cell = Cell(
+                index=index,
+                cell_id=cell_id,
+                params=params,
+                seed=derive_seed(self.seed, cell_hash),
             )
+            cell.__dict__["cell_hash"] = cell_hash
+            out.append(cell)
         if not out:
             raise CampaignSpecError(f"spec {self.name!r} expands to no cells")
         return out

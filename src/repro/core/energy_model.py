@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro import units
+from repro.core.roots import monotone_root
 from repro.device.cpu import DeviceCpuModel, IPAQ_CPU
 from repro.device.handheld import HandheldDevice
 from repro.errors import ModelError
@@ -274,13 +275,9 @@ class EnergyModel:
 
         if sleep_minus_interleave(hi) > 0:
             return float("inf")
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if sleep_minus_interleave(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+        return monotone_root(
+            lambda f: not sleep_minus_interleave(f) > 0, lo, hi
+        )
 
     def fill_idle_factor(self, raw_bytes: float = 4 * units.BYTES_PER_MB) -> float:
         """Compression factor needed for decompression to exactly fill the
@@ -298,13 +295,7 @@ class EnergyModel:
             return lo
         if td_minus_idle(hi) < 0:
             return float("inf")
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if td_minus_idle(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+        return monotone_root(lambda f: not td_minus_idle(f) < 0, lo, hi)
 
     # -- convenience -------------------------------------------------------------
 

@@ -24,6 +24,7 @@ from typing import Optional
 
 from repro import units
 from repro.core.energy_model import EnergyModel
+from repro.core.roots import monotone_root
 from repro.errors import ModelError
 
 
@@ -93,13 +94,9 @@ class FleetAdvisor:
         lo = 1.0
         if self.compression_worthwhile(raw_bytes, 1.0 + 1e-9):
             return 1.0
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if self.compression_worthwhile(raw_bytes, mid):
-                hi = mid
-            else:
-                lo = mid
-        return (lo + hi) / 2
+        return monotone_root(
+            lambda f: self.compression_worthwhile(raw_bytes, f), lo, hi
+        )
 
     def size_threshold_bytes(self) -> int:
         """Fleet size floor; also falls with contention (the startup cost
@@ -114,10 +111,4 @@ class FleetAdvisor:
             return 1
         if not ever(hi):
             raise ModelError("compression never worthwhile under this model")
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if ever(mid):
-                hi = mid
-            else:
-                lo = mid
-        return int(round((lo + hi) / 2))
+        return int(round(monotone_root(ever, lo, hi)))

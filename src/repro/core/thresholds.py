@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import units
 from repro.core.energy_model import EnergyModel
 from repro.core.recovery import RecoveryConfig, recovery_overhead_energy_j
+from repro.core.roots import BISECT_ITERATIONS, monotone_root  # noqa: F401 (re-export)
 from repro.errors import ModelError
 from repro.network.arq import ArqConfig, expected_overhead_energy_j
 from repro.network.wlan import LADDER_MBPS, ladder_link
@@ -68,21 +69,24 @@ PAPER_SMALL_SIZE_TERM = 0.00372
 #   attempt order, carrying the per-attempt probability as an iterated
 #   product (``p *= again``), and the batch engine mirrors that exact
 #   sequence of IEEE-754 operations;
-# - the bisections below run a fixed :data:`BISECT_ITERATIONS` passes
-#   with ``mid = (lo + hi) / 2`` and return ``(lo + hi) / 2`` — no
-#   early exit on convergence, so the iteration trajectory (and hence
-#   the final rounding) is identical for the scalar and array paths;
+# - every bisection goes through :func:`repro.core.roots.monotone_root`
+#   (the batch engine through its array twin): ``mid = (lo + hi) / 2``,
+#   exit at the float fixed point (``mid == lo or mid == hi``) or after
+#   :data:`BISECT_ITERATIONS` passes, return ``(lo + hi) / 2``.  Past
+#   the fixed point a pass can only keep the bracket or collapse it onto
+#   ``mid``, so the early exit returns exactly what the full pass count
+#   would, element by element — the scalar and array paths agree bit
+#   for bit whichever pass each cell stops at;
 # - ``size_threshold_bytes`` rounds with built-in :func:`round`
 #   (banker's rounding, matched by ``np.rint`` in the batch engine).
 #
-# Changing any of these — reordering a sum, switching to fsum, exiting
-# a bisection early — is a baseline-breaking change: it must regenerate
-# ``smoke_baseline.jsonl`` and the batch engine in the same commit, and
-# the differential-oracle suite (tests/simulator/test_batch_oracle.py)
-# will fail until both paths agree again.
+# Changing any of these — reordering a sum, switching to fsum, stopping
+# a bisection on a tolerance instead of the fixed point — is a
+# baseline-breaking change: it must regenerate ``smoke_baseline.jsonl``
+# and the batch engine in the same commit, and the differential-oracle
+# suite (tests/simulator/test_batch_oracle.py) will fail until both
+# paths agree again.
 
-#: Fixed bisection pass count shared by the scalar and batch engines.
-BISECT_ITERATIONS = 200
 #: Upper bracket for the compression-factor bisection.
 FACTOR_BISECT_HI = 1e6
 #: "Arbitrarily high" factor probing whether compression *ever* pays.
@@ -190,13 +194,7 @@ def factor_threshold(
     lo = 1.0
     if worthwhile(lo):
         return lo
-    for _ in range(BISECT_ITERATIONS):
-        mid = (lo + hi) / 2
-        if worthwhile(mid):
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
+    return monotone_root(worthwhile, lo, hi)
 
 
 def size_threshold_bytes(
@@ -233,13 +231,7 @@ def size_threshold_bytes(
         return 1
     if not ever_worthwhile(hi):
         raise ModelError("compression never worthwhile under this model")
-    for _ in range(BISECT_ITERATIONS):
-        mid = (lo + hi) / 2
-        if ever_worthwhile(mid):
-            hi = mid
-        else:
-            lo = mid
-    return int(round((lo + hi) / 2))
+    return int(round(monotone_root(ever_worthwhile, lo, hi)))
 
 
 def break_even_corrupt_rate(
@@ -269,17 +261,14 @@ def break_even_corrupt_rate(
         corrupt_rate=max_rate, recovery=recovery,
     ):
         return float("inf")
-    lo, hi = 0.0, max_rate
-    for _ in range(BISECT_ITERATIONS):
-        mid = (lo + hi) / 2
-        if compression_worthwhile(
+
+    def stops_paying(rate: float) -> bool:
+        return not compression_worthwhile(
             raw_bytes, compression_factor, model, codec,
-            corrupt_rate=mid, recovery=recovery,
-        ):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+            corrupt_rate=rate, recovery=recovery,
+        )
+
+    return monotone_root(stops_paying, 0.0, max_rate)
 
 
 # -- rate-adaptation: Equation 6 re-derived per ladder rung ----------------

@@ -22,6 +22,7 @@ from typing import Optional, Tuple
 
 from repro import units
 from repro.core.energy_model import EnergyModel
+from repro.core.roots import monotone_root
 from repro.errors import ModelError
 
 
@@ -194,10 +195,6 @@ class UploadModel:
         lo = 1.0
         if self.worthwhile(raw_bytes, lo, codec, interleaved):
             return lo
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if self.worthwhile(raw_bytes, mid, codec, interleaved):
-                hi = mid
-            else:
-                lo = mid
-        return (lo + hi) / 2
+        return monotone_root(
+            lambda f: self.worthwhile(raw_bytes, f, codec, interleaved), lo, hi
+        )

@@ -47,6 +47,7 @@ except ImportError:  # pragma: no cover - numpy is in the base image
     HAVE_NUMPY = False
 
 from repro import units
+from repro.core.roots import monotone_root_array
 from repro.device.batterylife import Battery
 from repro.errors import ModelError
 from repro.fleet.contention import ContentionModel
@@ -68,9 +69,6 @@ WAIT_S_BOUNDS = (1e-4, 1e5)
 #: The factor the break-even bisection treats as "compress as well as
 #: physically possible" (mirrors ``FleetAdvisor.size_threshold_bytes``).
 _BREAK_EVEN_HUGE_FACTOR = 1e9
-
-#: Bisection passes for the break-even size (FleetAdvisor parity).
-_BREAK_EVEN_ITERATIONS = 200
 
 
 class LogHistogram:
@@ -385,12 +383,7 @@ def _break_even_bytes(spec, k_arr, n_arr, collision_overhead: float):
         hi = np.full(contenders.shape, float(units.BYTES_PER_MB))
         w_lo = worth(lo)
         w_hi = worth(hi)
-        for _ in range(_BREAK_EVEN_ITERATIONS):
-            mid = (lo + hi) / 2
-            wm = worth(mid)
-            hi = np.where(wm, mid, hi)
-            lo = np.where(wm, lo, mid)
-        vals = np.rint((lo + hi) / 2)
+        vals = np.rint(monotone_root_array(worth, lo, hi))
         vals = np.where(w_lo, 1.0, vals)
         out[sel] = vals
         never[sel] = ~w_hi & ~w_lo

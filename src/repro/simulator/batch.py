@@ -1,12 +1,14 @@
 """Vectorized Equation 1-6 batch engine: whole grids in array ops.
 
 The scalar threshold engine (:mod:`repro.core.thresholds`) evaluates
-one cell at a time: a 200-pass bisection over full model evaluations
-costs hundreds of Python-level arithmetic calls per cell, so dense
-campaign planes pay seconds per thousand cells.  This module evaluates
-*whole parameter grids* — size x factor x link rate x loss x residual
-BER — through the same equations as broadcast numpy expressions, one
-bisection driving every cell in lock-step.
+one cell at a time: a bisection over full model evaluations that runs
+to its float fixed point (~60-72 passes) costs hundreds of Python-level
+arithmetic calls per cell, so dense campaign planes pay seconds per
+thousand cells.  This module evaluates *whole parameter grids* — size x
+factor x link rate x loss x residual BER — through the same equations
+as broadcast numpy expressions, one bisection
+(:func:`~repro.core.roots.monotone_root_array`) driving every cell in
+lock-step until the last cell reaches its fixed point.
 
 Bit-exactness contract
 ----------------------
@@ -67,6 +69,7 @@ from repro import units
 from repro.core import thresholds
 from repro.core.energy_model import EnergyModel
 from repro.core.recovery import RecoveryConfig, RecoveryPolicy
+from repro.core.roots import monotone_root_array
 from repro.errors import ModelError, ReproError
 from repro.network.arq import ArqConfig, DEFAULT_PAYLOAD_BYTES
 from repro.network.wlan import LADDER_MBPS
@@ -95,9 +98,10 @@ _POW_TABLE_MAX_GROUPS = 32
 _POW_TABLE_MAX_BLOCK = 1 << 22
 
 #: (ber, retries) -> (t1, qt) where ``t1[k] = (1-ber)**(8*(k+1))`` and
-#: ``qt[k] = (1 - t1[k])**retries``, both CPython ``pow`` exact.  The
-#: corruption bisections re-evaluate the same channel at hundreds of
-#: block sizes; the table turns each pass into a fancy-index lookup.
+#: ``qt[k] = (1 - t1[k])**retries``, both CPython ``pow`` exact, NaN
+#: where not yet computed.  The corruption bisections re-evaluate the
+#: same channel at hundreds of block sizes; the table turns each pass
+#: into a fancy-index lookup and computes each entry once, on first use.
 _Q1_TABLES: Dict[Tuple[float, float], Tuple[Any, Any]] = {}
 
 _DEFAULT_MODEL: Optional[EnergyModel] = None
@@ -159,25 +163,35 @@ def _pow(base, exp):
     return out.reshape(shape)
 
 
-def _pow_tables(ber: float, retries: float, bmax: int):
-    """Grow (and cache) the block-power table for one (ber, retries)."""
+def _pow_table_lookup(ber: float, retries: float, idx, size: int):
+    """``(t1[idx], qt[idx])`` from the block-power table of one
+    (ber, retries), grown to at least ``size`` entries, computing only
+    the entries no call has needed yet."""
     key = (ber, retries)
     entry = _Q1_TABLES.get(key)
-    if entry is not None and len(entry[0]) >= bmax:
-        return entry
-    one_minus = 1.0 - ber
-    t1 = np.fromiter(
-        (one_minus ** (8 * k) for k in range(1, bmax + 1)),
-        dtype=np.float64,
-        count=bmax,
-    )
-    qt = np.fromiter(
-        ((1.0 - t) ** retries for t in t1.tolist()),
-        dtype=np.float64,
-        count=bmax,
-    )
-    _Q1_TABLES[key] = (t1, qt)
-    return t1, qt
+    if entry is None or len(entry[0]) < size:
+        grown = (np.full(size, np.nan), np.full(size, np.nan))
+        if entry is not None:
+            grown[0][:len(entry[0])] = entry[0]
+            grown[1][:len(entry[1])] = entry[1]
+        entry = _Q1_TABLES[key] = grown
+    t1, qt = entry
+    missing = np.isnan(t1[idx])
+    if bool(missing.any()):
+        ks = np.unique(idx[missing])
+        one_minus = 1.0 - ber
+        new = np.fromiter(
+            (one_minus ** (8 * (k + 1)) for k in ks.tolist()),
+            dtype=np.float64,
+            count=len(ks),
+        )
+        t1[ks] = new
+        qt[ks] = np.fromiter(
+            ((1.0 - t) ** retries for t in new.tolist()),
+            dtype=np.float64,
+            count=len(ks),
+        )
+    return t1[idx], qt[idx]
 
 
 def _q1_qt(ber, block, retries: float):
@@ -208,10 +222,10 @@ def _q1_qt(ber, block, retries: float):
                 bmax = int(blk[mask].max())
                 if bmax > _POW_TABLE_MAX_BLOCK:
                     continue
-                t1, qt_tbl = _pow_tables(ber_v, retries, bmax)
                 idx = blk[mask].astype(np.int64) - 1
-                q1[mask] = 1.0 - t1[idx]
-                qt[mask] = qt_tbl[idx]
+                t1, qt_m = _pow_table_lookup(ber_v, retries, idx, bmax)
+                q1[mask] = 1.0 - t1
+                qt[mask] = qt_m
                 pending[mask] = False
     if bool(pending.any()):
         q1p = 1.0 - _pow(1.0 - ber_f[pending], 8.0 * blk[pending])
@@ -542,13 +556,7 @@ def batch_factor_threshold(
         lo0 = np.full(raw.shape, 1.0)
         w_hi = w(hi0)
         w_lo = w(lo0)
-        lo, hi = lo0, hi0
-        for _ in range(thresholds.BISECT_ITERATIONS):
-            mid = (lo + hi) / 2
-            wm = w(mid)
-            hi = np.where(wm, mid, hi)
-            lo = np.where(wm, lo, mid)
-        res = (lo + hi) / 2
+        res = monotone_root_array(w, lo0, hi0)
         # Scalar precedence: raw <= 0 beats "never", beats "already at 1".
         res = np.where(w_lo, 1.0, res)
         res = np.where(~w_hi, np.inf, res)
@@ -595,14 +603,8 @@ def _size_floor_arrays(
         hi0 = np.full(loss_r.shape, float(units.BYTES_PER_MB))
         w_lo = w(lo0)
         w_hi = w(hi0)
-        lo, hi = lo0, hi0
-        for _ in range(thresholds.BISECT_ITERATIONS):
-            mid = (lo + hi) / 2
-            wm = w(mid)
-            hi = np.where(wm, mid, hi)
-            lo = np.where(wm, lo, mid)
         # int(round(x)): banker's rounding, matched by np.rint.
-        vals = np.rint((lo + hi) / 2).astype(np.int64)
+        vals = np.rint(monotone_root_array(w, lo0, hi0)).astype(np.int64)
         vals = np.where(w_lo, 1, vals)
         out[rest] = vals
         never[rest] = ~w_hi & ~w_lo
@@ -662,16 +664,10 @@ def batch_break_even_corrupt_rate(
                 compressed=compressed,
             )
 
-        w0 = w(zeros)
-        wmax = w(np.full(raw.shape, float(max_rate)))
-        lo = zeros
         hi = np.full(raw.shape, float(max_rate))
-        for _ in range(thresholds.BISECT_ITERATIONS):
-            mid = (lo + hi) / 2
-            wm = w(mid)
-            lo = np.where(wm, mid, lo)
-            hi = np.where(wm, hi, mid)
-        res = (lo + hi) / 2
+        w0 = w(zeros)
+        wmax = w(hi)
+        res = monotone_root_array(lambda c: ~w(c), zeros, hi)
         res = np.where(wmax, np.inf, res)
         res = np.where(~w0, 0.0, res)
         return res.reshape(shape)
@@ -985,14 +981,35 @@ def _plan_threshold(params: Dict[str, Any]) -> Optional[Tuple]:
     return ("threshold", quantity, literal, codec, link, arq_key, rec_key)
 
 
+class _PlannedCells(list):
+    """Batch-eligible cells with the plan key :func:`_plan` gave each, as
+    :func:`partition_cells` returns them, so :func:`evaluate_cells` need
+    not plan them again.  Slices keep their keys (the runner evaluates
+    chunk by chunk)."""
+
+    def __init__(self, cells=(), keys=()) -> None:
+        super().__init__(cells)
+        self.keys = list(keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _PlannedCells(super().__getitem__(index), self.keys[index])
+        return super().__getitem__(index)
+
+
 def partition_cells(cells: Sequence) -> Tuple[List, List]:
     """Split expanded cells into (batch-eligible, scalar-only)."""
     if not HAVE_NUMPY:
         return [], list(cells)
-    batchable: List = []
+    batchable = _PlannedCells()
     rest: List = []
     for cell in cells:
-        (batchable if _plan(cell.params) is not None else rest).append(cell)
+        key = _plan(cell.params)
+        if key is None:
+            rest.append(cell)
+        else:
+            batchable.append(cell)
+            batchable.keys.append(key)
     return batchable, rest
 
 
@@ -1109,9 +1126,13 @@ def evaluate_cells(cells: Sequence) -> Tuple[List[Tuple[Any, Dict]], List]:
     declined at runtime; the caller must run them through the scalar
     path, which stays authoritative for every record it produces.
     """
+    if isinstance(cells, _PlannedCells) and len(cells.keys) == len(cells):
+        keys = cells.keys
+        cells = list(cells)
+    else:
+        keys = [_plan(cell.params) for cell in cells]
     groups: Dict[Tuple, List[int]] = {}
-    for i, cell in enumerate(cells):
-        key = _plan(cell.params)
+    for i, (cell, key) in enumerate(zip(cells, keys)):
         if key is None:
             raise ModelError(
                 f"cell {getattr(cell, 'cell_id', i)!r} is not batch-eligible"
