@@ -11,7 +11,9 @@ timed, so a fast-but-wrong model cannot pass.
 
 Knobs (environment):
 
-- ``REPRO_FLEET_BENCH_DEVICES``  population size (default 1_000_000).
+- ``REPRO_FLEET_BENCH_DEVICES``  population size (default 1_000_000);
+  only a default-size run rewrites ``results/fleet_population.*``,
+  a smaller one (``make fleet-smoke``) keeps every gate and prints.
 - ``REPRO_FLEET_BENCH_BUDGET_S`` wall-clock ceiling per run (default 60).
 - ``REPRO_FLEET_BENCH_SEED``     synthesis seed (default 7).
 
@@ -32,6 +34,10 @@ from repro.fleet import (
 )
 
 
+#: The population the checked-in artifact records.
+DEFAULT_DEVICES = 1_000_000
+
+
 def env_int(name, default):
     return int(os.environ.get(name) or default)
 
@@ -49,7 +55,7 @@ def run_gate():
     """Validate against the DES, run twice, assert budget + byte-equality."""
     if not HAVE_NUMPY:  # pragma: no cover - numpy is a dependency
         raise SystemExit("SKIP: numpy not available, no fleet engine")
-    devices = env_int("REPRO_FLEET_BENCH_DEVICES", 1_000_000)
+    devices = env_int("REPRO_FLEET_BENCH_DEVICES", DEFAULT_DEVICES)
     budget_s = env_int("REPRO_FLEET_BENCH_BUDGET_S", 60)
     seed = env_int("REPRO_FLEET_BENCH_SEED", 7)
 
@@ -105,7 +111,10 @@ def report(stats):
         f"  lifetime p50       : {stats['lifetime_h_p50']:.2f} h\n"
         "  DES agreement      : all spot configs within the 5% gate"
     )
-    write_artifact("fleet_population", text, data=stats)
+    if stats["devices"] == DEFAULT_DEVICES:
+        write_artifact("fleet_population", text, data=stats)
+    else:
+        print(f"[artifact not written: not the {DEFAULT_DEVICES}-device default]")
     return text
 
 

@@ -12,12 +12,19 @@ The compression cache is bounded: a byte-budgeted LRU
 representations, so a long-running service cannot grow memory without
 limit.  ``StoredFile.cache`` remains the per-file view of whatever the
 LRU currently holds for that file.
+
+Facts derived from a file's bytes (its sniffed probe factors and its
+sha256) live on the :class:`StoredFile` itself, outside the LRU's
+budget: :meth:`ProxyServer.put` replaces the ``StoredFile``, so new
+content starts with none of them.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 from repro.compression.base import CodecResult, get_codec
 from repro.core.adaptive import AdaptiveBlockCodec, AdaptiveResult
@@ -33,11 +40,20 @@ class StoredFile:
     name: str
     data: bytes
     cache: Dict[str, CodecResult] = field(default_factory=dict)
+    #: Probe factors of ``data[:sniff_bytes]``, keyed by
+    #: ``(codec, sniff_bytes)``: one float per key, filled by the
+    #: service's sniff.
+    sniffed: Dict[Tuple[str, int], float] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         """Size of the stored bytes."""
         return len(self.data)
+
+    @cached_property
+    def sha256(self) -> str:
+        """Hex sha256 of the stored bytes (the OK frame's integrity anchor)."""
+        return hashlib.sha256(self.data).hexdigest()
 
 
 @dataclass(frozen=True)

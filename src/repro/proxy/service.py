@@ -32,7 +32,6 @@ deterministically.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -129,6 +128,8 @@ class ServiceStats:
     degraded: int = 0
     compressed: int = 0
     passthrough: int = 0
+    #: Sniff probes actually run (memo hits do not count).
+    sniffs: int = 0
     timeouts: Dict[str, int] = field(default_factory=dict)
     errors_by_type: Dict[str, int] = field(default_factory=dict)
 
@@ -285,7 +286,9 @@ class ProxyService:
         """Sniffed compression factor for one stored file.
 
         Uses the cached full representation when present (exact), else
-        compresses one deterministic prefix probe.  Zero-byte and
+        the factor of one deterministic prefix probe.  The probe runs
+        once per (object, codec, probe size): its factor is memoized on
+        the :class:`~repro.proxy.server.StoredFile`.  Zero-byte and
         incompressible objects report factor 1.0 — passthrough.
         """
         stored = self.store.get(name)
@@ -294,17 +297,25 @@ class ProxyService:
         cached = self.store.cache.get((name, codec_name))
         if cached is not None:
             return max(cached.factor, 0.0) or 1.0
-        sample = stored.data[: self.config.sniff_bytes]
-        try:
-            probe = get_codec(codec_name).compress(sample)
-        except CodecError:
-            # A codec that cannot even sniff still gets routed through
-            # the compress path: retry, breaker, and the degradation
-            # ladder own that failure, not the decision step.
-            return FALLBACK_SNIFF_FACTOR
-        if probe.compressed_size <= 0:
-            return 1.0
-        return probe.raw_size / probe.compressed_size
+        key = (codec_name, self.config.sniff_bytes)
+        if key not in stored.sniffed:
+            self.stats.sniffs += 1
+            self._count("proxy_sniffs_total")
+            try:
+                probe = get_codec(codec_name).compress(
+                    stored.data[: self.config.sniff_bytes]
+                )
+            except CodecError:
+                # A codec that cannot even sniff still gets routed through
+                # the compress path: retry, breaker, and the degradation
+                # ladder own that failure, not the decision step.  Not
+                # memoized, so a healed codec gets a real sniff.
+                return FALLBACK_SNIFF_FACTOR
+            stored.sniffed[key] = (
+                probe.raw_size / probe.compressed_size
+                if probe.compressed_size > 0 else 1.0
+            )
+        return stored.sniffed[key]
 
     def decide(
         self, name: str, codec_name: str, link_mbps: float, loss_rate: float
@@ -564,7 +575,7 @@ class ProxyService:
                     "modeled_s": round(elapsed["compress"], 9),
                     # Integrity anchor for the client's checksum-on-
                     # decompress (the ecomp convention, on by default).
-                    "sha256": hashlib.sha256(stored.data).hexdigest(),
+                    "sha256": stored.sha256,
                 },
                 payload=payload,
             )

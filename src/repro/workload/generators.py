@@ -21,6 +21,7 @@ giving the block-adaptive scheme (Figure 10) realistic input.
 
 from __future__ import annotations
 
+import functools
 import random
 import zlib
 from typing import Callable, Dict
@@ -257,9 +258,27 @@ def blended(
     chunk: int = 0,
 ) -> bytes:
     """Generate ``size`` bytes at knob ``t`` (see module docstring)."""
+    return _blend(
+        file_type, size, seed, t, chunk,
+        lambda: structured(file_type, size, seed, 1.0),
+    )
+
+
+def _blend(
+    file_type: FileType,
+    size: int,
+    seed: int,
+    t: float,
+    chunk: int,
+    full_diversity: Callable[[], bytes],
+) -> bytes:
+    """:func:`blended`, reading ``structured(..., t=1.0)`` from
+    ``full_diversity()``, called only when a chunk needs it."""
     if size <= 0:
         return b""
-    if t <= 1.0:
+    if t == 1.0:
+        return full_diversity()
+    if t < 1.0:
         return structured(file_type, size, seed, t)
     if chunk <= 0:
         # Small files need fine-grained blending or the random fraction
@@ -267,7 +286,7 @@ def blended(
         chunk = min(_FINE_CHUNK, max(64, size // 16))
     random_fraction = min(t - 1.0, 1.0)
     rng = random.Random(seed ^ 0x5EED)
-    struct_data = structured(file_type, size, seed, 1.0)
+    struct_data = None
     out = bytearray()
     pos = 0
     while pos < size:
@@ -275,6 +294,8 @@ def blended(
         if rng.random() < random_fraction:
             out += _random_bytes(rng, n)
         else:
+            if struct_data is None:
+                struct_data = full_diversity()
             out += struct_data[pos : pos + n]
         pos += n
     return bytes(out[:size])
@@ -306,9 +327,17 @@ def calibrate_knob(
     best_t = 0.0
     best_err = float("inf")
 
+    # Every knob past 1 blends the same t=1 sample: build it once per
+    # calibration, on first use.
+    @functools.cache
+    def full_diversity() -> bytes:
+        return structured(file_type, sample_size, seed, 1.0)
+
     def factor_at(t: float) -> float:
         nonlocal best_t, best_err
-        f = measured_factor(blended(file_type, sample_size, seed, t))
+        f = measured_factor(
+            _blend(file_type, sample_size, seed, t, 0, full_diversity)
+        )
         err = abs(f - target_factor)
         if err < best_err:
             best_t, best_err = t, err

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.energy_model import EnergyModel
 from repro.network.wlan import LINK_2MBPS
+from repro.workload.corpus import Corpus
 
 
 def _sample_bank():
@@ -48,6 +49,12 @@ def model():
 def model_2mbps():
     """The paper's 2 Mb/s validation model."""
     return EnergyModel(link=LINK_2MBPS)
+
+
+@pytest.fixture(scope="session")
+def corpus_2pct():
+    """The Table 2 corpus at 2% scale (37 files, ~1.9 MB), generated once."""
+    return Corpus(scale=0.02)
 
 
 def mb(x: float) -> int:

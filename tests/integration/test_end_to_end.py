@@ -11,14 +11,13 @@ from repro.compression import get_codec
 from repro.core.adaptive import AdaptiveBlockCodec
 from repro.proxy.server import ProxyServer
 from repro.simulator.analytic import AnalyticSession
-from repro.workload.corpus import Corpus
 from repro.workload.manifest import get_spec
 from tests.conftest import mb
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    return Corpus(scale=0.02)
+def corpus(corpus_2pct):
+    return corpus_2pct
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from repro.proxy.chaos import ChaosConfig
 from repro.proxy.resilience import BreakerConfig, RetryPolicy
 from repro.proxy.server import ProxyServer
 from repro.proxy.service import (
+    FALLBACK_SNIFF_FACTOR,
     ProxyService,
     ServiceConfig,
     pipe_pair,
@@ -360,3 +361,126 @@ class TestChecksumConvention:
         except CodecError:
             decoded = None
         assert decoded != COMPRESSIBLE
+
+
+def count_compress_calls(monkeypatch, codec_name: str = "zlib") -> list:
+    """Swap ``codec_name`` for a subclass that logs each compress input."""
+    from repro.compression import base as cbase
+
+    calls = []
+
+    class Counting(type(get_codec(codec_name))):
+        def compress(self, data):
+            calls.append(len(data))
+            return super().compress(data)
+
+    monkeypatch.setitem(cbase._REGISTRY, codec_name, Counting)
+    return calls
+
+
+class FlakyCodec(type(get_codec("gzip-native"))):
+    """A codec whose compress raises while ``sick`` is set."""
+
+    name = "flaky"
+    sick = True
+
+    def compress(self, data):
+        if type(self).sick:
+            raise CodecError("compressor wedged")
+        return super().compress(data)
+
+
+class TestSniffOncePerObject:
+    def test_rejected_object_sniffs_once(self, monkeypatch):
+        from repro.observability.metrics import MetricsRegistry
+
+        calls = count_compress_calls(monkeypatch)
+        reg = MetricsRegistry()
+        service = ProxyService(store=make_store(), metrics=reg)
+
+        async def five():
+            return [await roundtrip(service, "rand.bin") for _ in range(5)]
+
+        frames = run(five())
+        assert [f.header["mechanism"] for f in frames] == ["raw"] * 5
+        assert len({f.header["reason"] for f in frames}) == 1
+        assert "incompressible" in frames[0].header["reason"]
+        assert calls == [len(INCOMPRESSIBLE)]
+        assert service.stats.sniffs == 1
+        assert "repro_proxy_sniffs_total 1" in reg.to_prometheus()
+
+    def test_put_of_new_bytes_sniffs_again(self):
+        import hashlib
+
+        service = ProxyService(store=make_store())
+        first = run(roundtrip(service, "rand.bin"))
+        assert first.header["mechanism"] == "raw"
+        assert first.header["sha256"] == hashlib.sha256(INCOMPRESSIBLE).hexdigest()
+        service.store.put("rand.bin", COMPRESSIBLE)
+        second = run(roundtrip(service, "rand.bin"))
+        assert service.stats.sniffs == 2
+        assert second.header["mechanism"] == "compress"
+        assert second.header["raw_bytes"] == len(COMPRESSIBLE)
+        assert second.header["sha256"] == hashlib.sha256(COMPRESSIBLE).hexdigest()
+
+    def test_failed_probe_is_not_memoized(self, monkeypatch):
+        from repro.compression import base as cbase
+
+        monkeypatch.setitem(cbase._REGISTRY, "flaky", FlakyCodec)
+        monkeypatch.setattr(FlakyCodec, "sick", True)
+        service = ProxyService(store=make_store())
+        assert service._estimate_factor("rand.bin", "flaky") == FALLBACK_SNIFF_FACTOR
+        assert service.stats.sniffs == 1
+        FlakyCodec.sick = False
+        probe = get_codec("flaky").compress(INCOMPRESSIBLE)
+        healed = probe.raw_size / probe.compressed_size
+        assert service._estimate_factor("rand.bin", "flaky") == healed
+        assert service._estimate_factor("rand.bin", "flaky") == healed
+        assert service.stats.sniffs == 2
+
+    def test_probe_size_keys_the_memo(self):
+        head = b"abcd" * 1024
+        data = head + _random.Random(1).randbytes(12288)
+        store = ProxyServer()
+        store.put("half.bin", data)
+        small = ProxyService(store=store, config=ServiceConfig(sniff_bytes=4096))
+        full = ProxyService(store=store)
+
+        def probe(n: int) -> float:
+            result = get_codec("gzip").compress(data[:n])
+            return result.raw_size / result.compressed_size
+
+        expected = (probe(4096), probe(len(data)))
+        assert expected[0] > 10 * expected[1]
+        for _ in range(2):
+            assert small._estimate_factor("half.bin", "gzip") == expected[0]
+            assert full._estimate_factor("half.bin", "gzip") == expected[1]
+        assert small.stats.sniffs == full.stats.sniffs == 1
+
+    def test_warmed_verdicts_equal_fresh_ones(self, corpus_2pct):
+        """The memo changes no verdict or reason on any corpus file.
+
+        The memo is codec-agnostic; the native codec keeps the grid's
+        296 fresh sniffs cheap.
+        """
+        codec = "gzip-native"
+        files = list(corpus_2pct.files())
+        grid = [
+            (f, rung, loss)
+            for f in files for rung in (1.0, 2.0, 5.5, 11.0)
+            for loss in (0.0, 0.05)
+        ]
+        warmed = ProxyService(store=ProxyServer())
+        for f in files:
+            warmed.store.put(f.name, f.data)
+        for f, rung, loss in grid:
+            warmed.decide(f.name, codec, rung, loss)
+        sniffs = warmed.stats.sniffs
+        assert 0 < sniffs <= len(files)
+        for f, rung, loss in grid:
+            fresh = ProxyService(store=ProxyServer())
+            fresh.store.put(f.name, f.data)
+            assert warmed.decide(f.name, codec, rung, loss) == fresh.decide(
+                f.name, codec, rung, loss
+            ), (f.name, rung, loss)
+        assert warmed.stats.sniffs == sniffs

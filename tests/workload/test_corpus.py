@@ -92,6 +92,26 @@ class TestGeneration:
         d2 = digest("424242")
         assert d1 and d1 == d2
 
+    def test_corpus_bytes_are_pinned(self, corpus_2pct):
+        """Every file's bytes at 2% scale, in Table 2 order, as one digest.
+
+        Generator speed-ups must leave the corpus byte-identical; the
+        digest was recorded before calibration built the t=1 sample once.
+        """
+        import hashlib
+
+        digest = hashlib.sha256()
+        count = 0
+        for f in corpus_2pct.files():
+            digest.update(
+                f.name.encode() + b"\0" + len(f.data).to_bytes(8, "big") + f.data
+            )
+            count += 1
+        assert count == 37
+        assert digest.hexdigest() == (
+            "19f65c7cf6999cf7ce9201504d0a72cf22b1cafc4f1de29eedeab33ed712e63a"
+        )
+
     def test_files_iterator_subset(self, corpus):
         specs = small_files()[:3]
         generated = list(corpus.files(specs))
